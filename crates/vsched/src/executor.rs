@@ -1,13 +1,13 @@
-//! The real-compute batch evaluator: a thin strategy facade over the
-//! unified node runtime ([`crate::runtime::NodeRuntime`]).
+//! The real-compute batch evaluator: a thin facade over the unified node
+//! runtime ([`crate::runtime::NodeRuntime`]) and the scheduling
+//! [`Policy`].
 //!
-//! [`DeviceEvaluator`] owns the *policy*: resolving a [`Strategy`] into
-//! per-batch device shares (running the paper's warm-up and Equation 1
-//! where the strategy calls for it) and the associated trace bookkeeping
-//! (`WarmupSample`, `PartitionDecision`, `BatchScored`). All *mechanism* —
-//! persistent per-device worker threads, virtual-time accounting, the
-//! work-stealing deque drain — lives in the runtime, which every execution
-//! path on a node shares (DESIGN.md §10).
+//! The policy decides how each batch is laid out (warm-up, Equation 1,
+//! deque seeds, greedy chunks) and emits the decision trace events; the
+//! runtime charges that plan to the device clocks — exactly as the trace
+//! replay does — and scores the resulting ranges on its persistent
+//! per-device workers (DESIGN.md §10). This facade adds the `BatchScored`
+//! trace event and the cumulative steal statistics.
 //!
 //! # Determinism
 //!
@@ -18,9 +18,9 @@
 //! never the numeric result — for whichever kernel the scorer is
 //! configured with (DESIGN §7 per-kernel bit-identity).
 
-use crate::oracle::{CostOracle, OracleConfig};
-use crate::partition::proportional_split;
-use crate::runtime::{work_profile, NodeRuntime, StealConfig, StealStats};
+use crate::oracle::CostOracle;
+use crate::policy::{host_only, Policy};
+use crate::runtime::{work_profile, NodeRuntime, StealStats};
 use crate::strategy::Strategy;
 use gpusim::SimDevice;
 use metaheur::BatchEvaluator;
@@ -29,64 +29,24 @@ use vsmol::Conformation;
 use vsscore::Scorer;
 use vstrace::{Event, Trace, BATCH_TRACK};
 
-/// How the dynamic (self-scheduling) mode sizes its greedy chunks.
-enum DynamicChunking {
-    /// [`Strategy::DynamicQueue`]: fixed chunk size per grab.
-    Fixed(u64),
-    /// [`Strategy::GuidedQueue`]: chunk shrinks with the remaining work,
-    /// `remaining / (divisor × n_devices)`, floored at 1.
-    Guided { divisor: u64 },
-}
-
-/// What the warm-up resolves into once Equation 1 has its measurements.
-enum AfterWarmup {
-    /// Freeze the weights as a static proportional split.
-    Static,
-    /// Seed the work-stealing deques with the weights every batch.
-    Steal { divisor: u64 },
-    /// Feed the measurements to the learned cost oracle as the cold-start
-    /// prior and re-seed the deques from its fits every batch.
-    Oracle { divisor: u64 },
-}
-
-enum Mode {
-    /// Fixed proportional weights.
-    Static(Vec<f64>),
-    /// The paper's warm-up phase in progress: the next `left` batches run
-    /// under the equal split while per-device times (and, for the oracle,
-    /// executed work units) accumulate; Equation 1 then fixes the weights
-    /// and `then` decides what they seed.
-    WarmingUp { left: usize, times: Vec<f64>, units: Vec<f64>, then: AfterWarmup },
-    /// Greedy self-scheduling by virtual clock.
-    Dynamic(DynamicChunking),
-    /// The runtime's work-stealing drain, seeded by Equation 1 weights.
-    Steal { weights: Vec<f64>, cfg: StealConfig },
-    /// The learned-oracle drain (DESIGN.md §15): deques are re-seeded from
-    /// the oracle's current fits before every batch, and every device's
-    /// `(units, seconds)` outcome is fed back as an observation.
-    Oracle { oracle: CostOracle, cfg: StealConfig },
-}
-
 /// A [`BatchEvaluator`] that executes scoring on a set of simulated devices.
 ///
-/// Construction resolves the strategy (running the warm-up for the
-/// heterogeneous strategies — its cost lands on the device clocks, as in
-/// the paper) and spawns the runtime's persistent per-device worker
-/// threads. Each `evaluate` call then routes the batch through the
-/// runtime: one contiguous share per device for the split strategies, or
-/// the seeded-deque work-stealing drain for [`Strategy::WorkSteal`].
+/// Construction spawns the runtime's persistent per-device worker threads.
+/// Each `evaluate` call then routes the batch through the runtime under
+/// the strategy's [`Policy`], which also runs the heterogeneous
+/// strategies' warm-up on the first batches of real work (its cost lands
+/// on the device clocks, as in the paper).
 pub struct DeviceEvaluator {
     runtime: NodeRuntime,
-    mode: Mode,
-    warmup_done: u32,
+    policy: Policy,
     steal_stats: StealStats,
 }
 
 impl DeviceEvaluator {
     /// Build an evaluator over `devices` using `strategy` to assign work.
     ///
-    /// For [`Strategy::HeterogeneousSplit`] and [`Strategy::WorkSteal`],
-    /// the first `warmup.iterations` batches of real work execute under
+    /// For the strategies with a warm-up, the first
+    /// [`crate::policy::warmup_batches`] batches of real work execute under
     /// the equal split while being timed (the paper's warm-up phase,
     /// §3.3); Equation 1 then fixes the weights for the rest of the run.
     ///
@@ -98,48 +58,10 @@ impl DeviceEvaluator {
         scorer: Arc<Scorer>,
         strategy: Strategy,
     ) -> DeviceEvaluator {
-        let n = devices.len();
-        let mode = match strategy {
-            Strategy::CpuOnly => panic!("use CpuEvaluator for the CPU-only baseline"),
-            Strategy::DynamicQueue { chunk } => Mode::Dynamic(DynamicChunking::Fixed(chunk.max(1))),
-            Strategy::GuidedQueue { divisor } => {
-                Mode::Dynamic(DynamicChunking::Guided { divisor: divisor.max(1) })
-            }
-            Strategy::HomogeneousSplit => Mode::Static(vec![1.0; n]),
-            Strategy::HeterogeneousSplit { warmup } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Static,
-            },
-            // The adaptive ablation re-measures continuously; in the
-            // real-compute executor it starts like the heterogeneous
-            // warm-up and then keeps the latest window's weights.
-            Strategy::AdaptiveSplit { warmup, .. } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Static,
-            },
-            Strategy::WorkSteal { warmup, divisor } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Steal { divisor: divisor.max(1) },
-            },
-            Strategy::Oracle { warmup, divisor } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Oracle { divisor: divisor.max(1) },
-            },
-        };
-        DeviceEvaluator {
-            runtime: NodeRuntime::new(devices, scorer),
-            mode,
-            warmup_done: 0,
-            steal_stats: StealStats::default(),
-        }
+        assert!(!host_only(&strategy), "use CpuEvaluator for the CPU-only baseline");
+        let runtime = NodeRuntime::new(devices, scorer);
+        let policy = Policy::new(strategy, runtime.devices(), work_profile(runtime.scorer()), None);
+        DeviceEvaluator { runtime, policy, steal_stats: StealStats::default() }
     }
 
     /// Record every device execution into `timeline` (Gantt introspection
@@ -168,14 +90,10 @@ impl DeviceEvaluator {
         self.runtime.makespan()
     }
 
-    /// Static or deque-seed weights in use (empty while warming up or in
+    /// Split or deque-seed weights in use (empty while warming up or in
     /// dynamic mode).
     pub fn weights(&self) -> &[f64] {
-        match &self.mode {
-            Mode::Static(w) => w,
-            Mode::Steal { weights, .. } => weights,
-            _ => &[],
-        }
+        self.policy.weights().unwrap_or(&[])
     }
 
     /// Cumulative work-stealing statistics (all zeros unless the strategy
@@ -187,10 +105,7 @@ impl DeviceEvaluator {
     /// The learned cost oracle, once [`Strategy::Oracle`] finished its
     /// warm-up (`None` before that or under any other strategy).
     pub fn oracle(&self) -> Option<&CostOracle> {
-        match &self.mode {
-            Mode::Oracle { oracle, .. } => Some(oracle),
-            _ => None,
-        }
+        self.policy.oracle()
     }
 
     /// Test hook: every worker panics on the next `evaluate` call, which
@@ -199,48 +114,6 @@ impl DeviceEvaluator {
     fn induce_worker_panic(&mut self) {
         self.runtime.panic_next = true;
     }
-
-    /// Per-device shares for the split modes (everything except `Steal`).
-    fn shares_for(&self, items: u64) -> Vec<u64> {
-        let devices = self.runtime.devices();
-        match &self.mode {
-            Mode::Steal { .. } | Mode::Oracle { .. } => {
-                unreachable!("deque-seeded modes do not use contiguous shares")
-            }
-            Mode::Static(w) => proportional_split(items, w),
-            Mode::WarmingUp { .. } => proportional_split(items, &vec![1.0; devices.len()]),
-            Mode::Dynamic(chunking) => {
-                // Greedy chunking by current virtual clock, coalesced into
-                // one contiguous share per device to keep host scoring
-                // cache-friendly. Chunk sizing honors the strategy's
-                // parameters: a fixed grab for DynamicQueue, a
-                // remaining-proportional grab for GuidedQueue.
-                let n = devices.len() as u64;
-                let profile = work_profile(self.runtime.scorer());
-                let mut clocks: Vec<f64> = devices.iter().map(|d| d.clock()).collect();
-                let mut shares = vec![0u64; devices.len()];
-                let mut remaining = items;
-                while remaining > 0 {
-                    let take = match *chunking {
-                        DynamicChunking::Fixed(chunk) => chunk.min(remaining),
-                        DynamicChunking::Guided { divisor } => {
-                            (remaining / (divisor * n)).max(1).min(remaining)
-                        }
-                    };
-                    remaining -= take;
-                    let (idx, _) = clocks
-                        .iter()
-                        .enumerate()
-                        // PANICS: clocks are finite (never NaN) and there is at least one device.
-                        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .expect("non-empty");
-                    shares[idx] += take;
-                    clocks[idx] += devices[idx].estimate(&profile.batch(take));
-                }
-                shares
-            }
-        }
-    }
 }
 
 impl BatchEvaluator for DeviceEvaluator {
@@ -248,39 +121,13 @@ impl BatchEvaluator for DeviceEvaluator {
         if confs.is_empty() {
             return;
         }
-        let clocks_before: Vec<f64> = self.runtime.devices().iter().map(|d| d.clock()).collect();
-        let items_before: Vec<u64> =
-            self.runtime.devices().iter().map(|d| d.stats().items).collect();
-        let profile = work_profile(self.runtime.scorer());
-        let trace = self.runtime.trace().clone();
+        let vt_start =
+            self.runtime.devices().iter().map(|d| d.clock()).fold(f64::INFINITY, f64::min);
+        let stats = self.runtime.run(confs, &mut self.policy);
+        self.steal_stats.merge(stats);
 
-        // Resolve the deque-seeded modes' weights up front (the oracle
-        // re-queries its fits before *every* batch — that is the point).
-        let seed = match &mut self.mode {
-            Mode::Steal { weights, cfg } => Some((weights.clone(), *cfg)),
-            Mode::Oracle { oracle, cfg } => {
-                let n = clocks_before.len();
-                let weights = oracle.seed_weights(profile.class).unwrap_or_else(|| vec![1.0; n]);
-                if trace.is_enabled() {
-                    trace.emit(Event::Counter {
-                        name: "oracle_reseed",
-                        value: oracle.reseeds() as f64,
-                    });
-                }
-                Some((weights, *cfg))
-            }
-            _ => None,
-        };
-        if let Some((weights, cfg)) = seed {
-            let stats = self.runtime.run_steal(confs, &weights, &cfg);
-            self.steal_stats.merge(stats);
-        } else {
-            let shares = self.shares_for(confs.len() as u64);
-            self.runtime.run_shares(confs, &shares);
-        }
-
+        let trace = self.runtime.trace();
         if trace.is_enabled() {
-            let vt_start = clocks_before.iter().copied().fold(f64::INFINITY, f64::min);
             // For the dense kernels `units_per_item` *is* the pair count;
             // grid/cell-list batches report their own regime's unit so the
             // trace matches what the cost model actually charged.
@@ -291,86 +138,6 @@ impl BatchEvaluator for DeviceEvaluator {
                 vt_start,
                 vt_end: self.runtime.makespan(),
             });
-        }
-
-        // Oracle feedback: every device's `(units, virtual seconds)` for
-        // this batch becomes an observation, refining the fits the *next*
-        // batch's seed will query.
-        if let Mode::Oracle { oracle, .. } = &mut self.mode {
-            let devices = self.runtime.devices();
-            for (i, d) in devices.iter().enumerate() {
-                let di = d.stats().items - items_before[i];
-                let dt = d.clock() - clocks_before[i];
-                if di > 0 && dt > 0.0 {
-                    let u =
-                        oracle.observe(i, profile.class, (di * profile.units_per_item) as f64, dt);
-                    if trace.is_enabled() {
-                        trace.emit(Event::ModelUpdated {
-                            device: d.id() as u32,
-                            class: profile.class.ordinal(),
-                            predicted: u.predicted,
-                            observed: u.observed,
-                            residual: u.residual,
-                            refit: u.refit,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Warm-up bookkeeping: accumulate measured per-device times (and
-        // executed units, for the oracle prior) and hand the Equation 1
-        // weights to the follow-on mode once enough iterations ran.
-        if let Mode::WarmingUp { left, times, units, then } = &mut self.mode {
-            let devices = self.runtime.devices();
-            for (i, d) in devices.iter().enumerate() {
-                let dt = d.clock() - clocks_before[i];
-                times[i] += dt;
-                units[i] += ((d.stats().items - items_before[i]) * profile.units_per_item) as f64;
-                if trace.is_enabled() {
-                    trace.emit(Event::WarmupSample {
-                        device: d.id() as u32,
-                        iteration: self.warmup_done,
-                        seconds: dt,
-                    });
-                }
-            }
-            self.warmup_done += 1;
-            *left -= 1;
-            if *left == 0 {
-                let weights = if times.iter().all(|&t| t > 0.0) {
-                    crate::warmup::shares_from_times(times)
-                } else {
-                    vec![1.0; devices.len()]
-                };
-                if trace.is_enabled() {
-                    let total: f64 = weights.iter().sum();
-                    for (d, &w) in devices.iter().zip(&weights) {
-                        trace.emit(Event::PartitionDecision {
-                            device: d.id() as u32,
-                            share: if total > 0.0 { w / total } else { 0.0 },
-                            weight: w,
-                        });
-                    }
-                }
-                self.mode = match then {
-                    AfterWarmup::Static => Mode::Static(weights),
-                    AfterWarmup::Steal { divisor } => Mode::Steal {
-                        weights,
-                        cfg: StealConfig { divisor: *divisor, min_chunk: 0 },
-                    },
-                    AfterWarmup::Oracle { divisor } => {
-                        let mut oracle = CostOracle::new(devices.len(), OracleConfig::default());
-                        if times.iter().all(|&t| t > 0.0) && units.iter().all(|&u| u > 0.0) {
-                            oracle.observe_warmup(profile.class, times, units);
-                        }
-                        Mode::Oracle {
-                            oracle,
-                            cfg: StealConfig { divisor: *divisor, min_chunk: 0 },
-                        }
-                    }
-                };
-            }
         }
     }
 
@@ -758,34 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn guided_queue_honors_divisor_parameter() {
-        // GuidedQueue grabs remaining/(divisor*n) per step: a huge divisor
-        // degenerates to chunk=1 (both devices busy); divisor=1 starts
-        // with half the batch in one grab.
-        let eager_devs = hertz_devices();
-        let mut eager = DeviceEvaluator::new(
-            eager_devs.clone(),
-            scorer(),
-            Strategy::GuidedQueue { divisor: 1 },
-        );
-        let mut c = confs(128, 22);
-        eager.evaluate(&mut c);
-        let eager_split = (eager_devs[0].stats().items, eager_devs[1].stats().items);
-
-        let fine_devs = hertz_devices();
-        let mut fine = DeviceEvaluator::new(
-            fine_devs.clone(),
-            scorer(),
-            Strategy::GuidedQueue { divisor: 1_000 },
-        );
-        let mut c = confs(128, 22);
-        fine.evaluate(&mut c);
-        let fine_split = (fine_devs[0].stats().items, fine_devs[1].stats().items);
-        assert!(fine_split.0 > 0 && fine_split.1 > 0, "fine split {fine_split:?}");
-        assert_ne!(eager_split, fine_split, "divisor must change the split");
-    }
-
-    #[test]
     fn empty_batch_is_noop() {
         let devs = hertz_devices();
         let mut ev = DeviceEvaluator::new(devs.clone(), scorer(), Strategy::HomogeneousSplit);
@@ -1033,7 +772,14 @@ mod model_tests {
         let report = explore(Config::with_bound(1), move || {
             let mut rt = NodeRuntime::new(two_devices(), Arc::clone(&sc));
             let mut c = base.clone();
-            rt.run_steal(&mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 1 });
+            let shares = crate::partition::proportional_split(3, &[1.0, 1.0]);
+            rt.run_plan(
+                &mut c,
+                &crate::policy::Plan::Deques {
+                    shares,
+                    cfg: crate::runtime::StealConfig { divisor: 2, min_chunk: 1 },
+                },
+            );
             for (got, want) in c.iter().zip(&want) {
                 assert_eq!(got.score.to_bits(), want.to_bits());
             }

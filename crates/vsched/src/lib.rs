@@ -13,24 +13,27 @@
 //!   the *heterogeneous algorithm*);
 //! - [`strategy`] — the scheduling strategies the experiments compare:
 //!   CPU-only (OpenMP baseline), homogeneous split, heterogeneous split,
-//!   dynamic work queue;
+//!   dynamic work queue, work stealing, learned oracle;
+//! - [`policy`] — the one implementation of those strategies: per batch a
+//!   [`policy::Plan`] (contiguous shares, seeded deques, or greedy chunks), then
+//!   the observed per-device `(seconds, units)` that drive the warm-up,
+//!   Equation 1 and the oracle. Replay and live execution both run it, so
+//!   they agree bitwise on device clocks;
 //! - [`replay`] — schedule a recorded metaheuristic batch trace onto a
 //!   simulated node and report per-device virtual times and makespan (the
 //!   mechanism behind Tables 6–9);
 //! - [`runtime`] — the unified node runtime (DESIGN.md §10): one
 //!   *persistent* host worker thread per device (the paper's
 //!   one-OpenMP-thread-per-GPU structure; workers are spawned once, fed
-//!   disjoint index ranges per batch, and joined on drop), with both a
-//!   contiguous-shares path and a work-stealing drain over per-device
-//!   [`deque`]s seeded by Equation 1 weights;
+//!   disjoint index ranges per batch, and joined on drop), and
+//!   `charge_plan`, which charges a plan to the device clocks — including
+//!   the work-stealing drain over per-device [`deque`]s;
 //! - [`oracle`] — the online learned cost model (DESIGN.md §15):
 //!   per-(device, kernel-class) exponentially-decayed throughput fits that
 //!   turn the one-shot Equation 1 warm-up into a cold-start prior and
 //!   re-price devices from live batch telemetry, with drift detection;
 //! - [`executor`] — the real-compute path: a
-//!   [`metaheur::BatchEvaluator`] facade over the runtime that resolves a
-//!   [`Strategy`] into per-batch shares or deque seeds and keeps the
-//!   warm-up / trace bookkeeping;
+//!   [`metaheur::BatchEvaluator`] facade over the runtime and the policy;
 //! - [`spec`] — [`spec::EvaluatorSpec`], the single declarative factory
 //!   for scoring backends (serial CPU / pooled CPU / device-scheduled),
 //!   replacing per-call-site constructor picking;
@@ -46,6 +49,7 @@ pub mod deque;
 pub mod executor;
 pub mod oracle;
 pub mod partition;
+pub mod policy;
 pub mod replay;
 pub mod runtime;
 pub mod spec;

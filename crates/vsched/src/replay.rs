@@ -13,16 +13,21 @@
 //! runs do not incur any communication overhead"), so there is no
 //! cross-device synchronization until the final reduction; the slowest
 //! device determines overall time.
+//!
+//! Every entry point here is one loop over the shared
+//! [`crate::policy`]: plan the batch, charge the plan
+//! (`runtime::charge_plan`), observe the outcome. Live execution
+//! ([`crate::DeviceEvaluator`]) runs the same loop, so a replay and a live
+//! run of one batch trace produce bitwise the same device clocks.
 
-use crate::deque::ChunkDeque;
-use crate::oracle::{CostOracle, OracleConfig};
-use crate::partition::proportional_split;
-use crate::runtime::{drain_deques, StealConfig};
+use crate::oracle::CostOracle;
+use crate::policy::{host_only, Policy};
+use crate::runtime::charge_plan;
 use crate::strategy::Strategy;
-use gpusim::{EnergyModel, KernelClass, SimDevice, WorkBatch, WorkProfile};
+use gpusim::{EnergyModel, SimDevice, Timeline, WorkProfile};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use vstrace::{Event, Trace};
+use vstrace::Trace;
 
 /// Outcome of replaying one workload under one strategy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,7 +38,8 @@ pub struct ScheduleReport {
     pub device_times: Vec<f64>,
     /// Overall execution time: the slowest device's clock.
     pub makespan: f64,
-    /// Normalized static shares used (None for CPU-only / dynamic).
+    /// Normalized split or deque-seed weights in use at the end (None for
+    /// CPU-only / dynamic, or while the warm-up is still running).
     pub shares: Option<Vec<f64>>,
     /// Total conformations scheduled.
     pub total_items: u64,
@@ -74,281 +80,31 @@ pub fn schedule_trace(
     pairs_per_item: u64,
     strategy: Strategy,
 ) -> ScheduleReport {
-    cpu.reset();
-    for g in gpus {
-        g.reset();
-    }
-    let total_items: u64 = trace.iter().sum();
-
-    match strategy {
-        Strategy::CpuOnly => {
-            for &items in trace {
-                cpu.execute(&WorkBatch::conformations(items, pairs_per_item));
-            }
-            ScheduleReport {
-                strategy_label: strategy.label().into(),
-                device_names: vec![cpu.spec().name.clone()],
-                device_times: vec![cpu.clock()],
-                makespan: cpu.clock(),
-                shares: None,
-                total_items,
-                energy_joules: config_energy(cpu, gpus, cpu.clock()),
-            }
-        }
-        Strategy::HomogeneousSplit => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let weights = vec![1.0; gpus.len()];
-            for &items in trace {
-                execute_split(gpus, items, &weights, pairs_per_item);
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::HeterogeneousSplit { warmup } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            // Warm-up phase (§3.3): the first few iterations of the actual
-            // run execute under the equal split while their per-device
-            // times are measured; Equation 1 then fixes the proportional
-            // split for the remainder. The warm-up work counts toward the
-            // job — it is the start of the real execution.
-            let warm_iters = warmup.iterations.min(trace.len());
-            let equal = vec![1.0; gpus.len()];
-            let mut measured = vec![0.0f64; gpus.len()];
-            for &items in &trace[..warm_iters] {
-                let shares = proportional_split(items, &equal);
-                for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-                    if share > 0 {
-                        *t += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                    }
-                }
-            }
-            let weights = if measured.iter().all(|&t| t > 0.0) {
-                crate::warmup::shares_from_times(&measured)
-            } else {
-                equal
-            };
-            for &items in &trace[warm_iters..] {
-                execute_split(gpus, items, &weights, pairs_per_item);
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::AdaptiveSplit { rebalance_every, .. } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let every = rebalance_every.max(1);
-            let mut weights = vec![1.0; gpus.len()];
-            let mut window_items = vec![0u64; gpus.len()];
-            let mut window_times = vec![0.0f64; gpus.len()];
-            let mut in_window = 0usize;
-            for &items in trace {
-                let shares = proportional_split(items, &weights);
-                for ((g, &share), (wi, wt)) in gpus
-                    .iter()
-                    .zip(&shares)
-                    .zip(window_items.iter_mut().zip(window_times.iter_mut()))
-                {
-                    if share > 0 {
-                        *wt += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                        *wi += share;
-                    }
-                }
-                in_window += 1;
-                if in_window >= every {
-                    // Re-estimate weights from the window's measured
-                    // throughputs (items per second).
-                    if window_times.iter().all(|&t| t > 0.0) {
-                        weights = window_items
-                            .iter()
-                            .zip(&window_times)
-                            .map(|(&i, &t)| i as f64 / t)
-                            .collect();
-                    }
-                    window_items.iter_mut().for_each(|x| *x = 0);
-                    window_times.iter_mut().for_each(|x| *x = 0.0);
-                    in_window = 0;
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::DynamicQueue { chunk } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let chunk = chunk.max(1);
-            for &items in trace {
-                let mut remaining = items;
-                while remaining > 0 {
-                    let take = chunk.min(remaining);
-                    remaining -= take;
-                    // Self-scheduling: the device that is free first takes
-                    // the next chunk.
-                    let g = gpus
-                        .iter()
-                        // PANICS: inputs are non-empty by caller contract and scores/clocks are finite.
-                        .min_by(|a, b| a.clock().partial_cmp(&b.clock()).unwrap())
-                        .expect("non-empty");
-                    g.execute(&WorkBatch::conformations(take, pairs_per_item));
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, None, total_items)
-        }
-        Strategy::GuidedQueue { divisor } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let k = divisor.max(1);
-            let n = gpus.len() as u64;
-            for &items in trace {
-                let mut remaining = items;
-                while remaining > 0 {
-                    // GSS chunk: a 1/(k·n) share of what's left, so chunks
-                    // start large (occupancy) and shrink toward the tail
-                    // (balance).
-                    let take = (remaining / (k * n)).max(1).min(remaining);
-                    remaining -= take;
-                    let g = gpus
-                        .iter()
-                        // PANICS: inputs are non-empty by caller contract and scores/clocks are finite.
-                        .min_by(|a, b| a.clock().partial_cmp(&b.clock()).unwrap())
-                        .expect("non-empty");
-                    g.execute(&WorkBatch::conformations(take, pairs_per_item));
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, None, total_items)
-        }
-        Strategy::WorkSteal { warmup, divisor } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            // Same warm-up as the heterogeneous algorithm; the Equation 1
-            // weights then seed per-device deques every batch instead of
-            // freezing a split — the runtime's drain resolves claims and
-            // steals in virtual-time order (DESIGN.md §10).
-            let warm_iters = warmup.iterations.min(trace.len());
-            let equal = vec![1.0; gpus.len()];
-            let mut measured = vec![0.0f64; gpus.len()];
-            for &items in &trace[..warm_iters] {
-                let shares = proportional_split(items, &equal);
-                for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-                    if share > 0 {
-                        *t += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                    }
-                }
-            }
-            let weights = if measured.iter().all(|&t| t > 0.0) {
-                crate::warmup::shares_from_times(&measured)
-            } else {
-                equal
-            };
-            let cfg = StealConfig { divisor: divisor.max(1), min_chunk: 0 };
-            let silent = Trace::disabled();
-            for &items in &trace[warm_iters..] {
-                let deques = seed_deques(items, &weights);
-                drain_deques(
-                    gpus,
-                    &deques,
-                    &cfg,
-                    WorkProfile::pairs(pairs_per_item),
-                    None,
-                    &silent,
-                );
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::Oracle { .. } => {
-            // The oracle path is the drift engine with no faults: warm-up
-            // becomes the cold-start prior, every batch re-seeds from the
-            // current fits and feeds its outcome back.
-            schedule_trace_drift(
-                cpu,
-                gpus,
-                trace,
-                pairs_per_item,
-                strategy,
-                &[],
-                &Trace::disabled(),
-                None,
-            )
-        }
-    }
+    replay(cpu, gpus, trace, pairs_per_item, strategy, &[], None, &Trace::disabled(), None)
 }
 
-/// Contiguous per-device deques proportional to `weights` (the
-/// work-stealing replay's per-batch seeding step).
-fn seed_deques(items: u64, weights: &[f64]) -> Vec<ChunkDeque> {
-    let shares = proportional_split(items, weights);
-    let mut deques = Vec::with_capacity(shares.len());
-    let mut offset = 0u32;
-    for &share in &shares {
-        let hi = offset + share as u32;
-        deques.push(ChunkDeque::new(offset, hi));
-        offset = hi;
-    }
-    deques
-}
-
-fn execute_split(gpus: &[Arc<SimDevice>], items: u64, weights: &[f64], pairs_per_item: u64) {
-    let shares = proportional_split(items, weights);
-    for (g, &share) in gpus.iter().zip(&shares) {
-        if share > 0 {
-            g.execute(&WorkBatch::conformations(share, pairs_per_item));
-        }
-    }
-}
-
-/// Replay a trace under a *static* split while recording an execution
-/// timeline (Gantt view) — the introspection companion to
-/// [`schedule_trace`]. Supports the CPU-only, homogeneous and
-/// heterogeneous strategies; the heterogeneous warm-up phase is recorded
-/// too.
+/// Replay a trace while recording an execution timeline (Gantt view) —
+/// the introspection companion to [`schedule_trace`], with one segment
+/// per launch (warm-up batches included).
 pub fn schedule_trace_timeline(
     cpu: &Arc<SimDevice>,
     gpus: &[Arc<SimDevice>],
     trace: &[u64],
     pairs_per_item: u64,
     strategy: Strategy,
-) -> (ScheduleReport, gpusim::Timeline) {
-    cpu.reset();
-    for g in gpus {
-        g.reset();
-    }
-    let tl = gpusim::Timeline::new();
-    let total_items: u64 = trace.iter().sum();
-
-    let report = match strategy {
-        Strategy::CpuOnly => {
-            for &items in trace {
-                tl.record(cpu, &WorkBatch::conformations(items, pairs_per_item));
-            }
-            ScheduleReport {
-                strategy_label: strategy.label().into(),
-                device_names: vec![cpu.spec().name.clone()],
-                device_times: vec![cpu.clock()],
-                makespan: cpu.clock(),
-                shares: None,
-                total_items,
-                energy_joules: config_energy(cpu, gpus, cpu.clock()),
-            }
-        }
-        Strategy::HomogeneousSplit | Strategy::HeterogeneousSplit { .. } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let (warm_iters, mut weights) = match strategy {
-                Strategy::HeterogeneousSplit { warmup } => {
-                    (warmup.iterations.min(trace.len()), vec![1.0; gpus.len()])
-                }
-                _ => (0, vec![1.0; gpus.len()]),
-            };
-            let mut measured = vec![0.0f64; gpus.len()];
-            for (bi, &items) in trace.iter().enumerate() {
-                if bi == warm_iters && warm_iters > 0 && measured.iter().all(|&t| t > 0.0) {
-                    weights = crate::warmup::shares_from_times(&measured);
-                }
-                let shares = proportional_split(items, &weights);
-                for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-                    if share > 0 {
-                        let dt = tl.record(g, &WorkBatch::conformations(share, pairs_per_item));
-                        if bi < warm_iters {
-                            *t += dt;
-                        }
-                    }
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        _ => panic!("timeline replay supports CpuOnly / Homogeneous / Heterogeneous"),
-    };
+) -> (ScheduleReport, Timeline) {
+    let tl = Timeline::new();
+    let report = replay(
+        cpu,
+        gpus,
+        trace,
+        pairs_per_item,
+        strategy,
+        &[],
+        Some(&tl),
+        &Trace::disabled(),
+        None,
+    );
     (report, tl)
 }
 
@@ -357,18 +113,12 @@ pub fn schedule_trace_timeline(
 /// slowed by the matching factor in `gpu_slowdowns` (1.0 = healthy; see
 /// [`gpusim::SimDevice::set_slowdown`]). This is the virtual-time model of
 /// a device that throttles or degrades *after* the warm-up froze its
-/// Equation 1 weight — the scenario work stealing exists to heal.
-///
-/// Steals and device activity are emitted to `events`
-/// ([`vstrace::Event::JobMigrated`] per steal under
-/// [`Strategy::WorkSteal`]); pass [`Trace::disabled`] when only the report
-/// matters.
+/// Equation 1 weight — the scenario work stealing exists to heal. A single
+/// phase of [`schedule_trace_drift`].
 ///
 /// # Panics
-/// Panics if `gpu_slowdowns.len() != gpus.len()`, on
-/// [`Strategy::AdaptiveSplit`] (re-measuring mid-run is the ablation this
-/// harness deliberately excludes so onset semantics stay comparable), or
-/// if a GPU strategy is given no GPUs.
+/// Panics if `gpu_slowdowns.len() != gpus.len()` or if a GPU strategy is
+/// given no GPUs.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_trace_faulty(
     cpu: &Arc<SimDevice>,
@@ -396,10 +146,8 @@ pub fn schedule_trace_faulty(
 /// Replay `trace` under `strategy` through a sequence of degradation
 /// *phases*: before batch `phases[k].0` executes, every GPU's slowdown is
 /// set to the matching factor in `phases[k].1` (1.0 restores nominal
-/// speed, so a slow-then-recover drift scenario is two phases). This
-/// generalizes [`schedule_trace_faulty`] — a single phase *is* that
-/// function — and is the harness behind the `sched_snapshot` drift
-/// scenarios.
+/// speed, so a slow-then-recover drift scenario is two phases). This is
+/// the harness behind the `sched_snapshot` drift scenarios.
 ///
 /// For [`Strategy::Oracle`], `oracle` optionally carries learned state
 /// across calls (the campaign service's cross-tenant warm start): a warm
@@ -408,16 +156,15 @@ pub fn schedule_trace_faulty(
 /// Pass `None` for a self-contained run (fresh cold-start oracle). Other
 /// strategies ignore the parameter.
 ///
-/// Emits the same events as [`schedule_trace_faulty`] plus
-/// [`Event::ModelUpdated`] per oracle observation and an `oracle_reseed`
-/// counter per seed query.
+/// Every launch, steal and scheduling decision is emitted to `events`
+/// (`DeviceBusy`, [`vstrace::Event::JobMigrated`], `WarmupSample`,
+/// `PartitionDecision`, `ModelUpdated`, the `oracle_reseed` counter); pass
+/// [`Trace::disabled`] when only the report matters.
 ///
 /// # Panics
-/// Panics if any phase's factor list length differs from `gpus.len()`, on
-/// [`Strategy::AdaptiveSplit`] (re-measuring mid-run is the ablation this
-/// harness deliberately excludes so onset semantics stay comparable), if a
-/// GPU strategy is given no GPUs, or if a passed-in oracle was built for a
-/// different device count.
+/// Panics if any phase's factor list length differs from `gpus.len()`, if
+/// a GPU strategy is given no GPUs, or if a passed-in oracle was built for
+/// a different device count.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_trace_drift(
     cpu: &Arc<SimDevice>,
@@ -429,6 +176,22 @@ pub fn schedule_trace_drift(
     events: &Trace,
     oracle: Option<&mut CostOracle>,
 ) -> ScheduleReport {
+    replay(cpu, gpus, trace, pairs_per_item, strategy, phases, None, events, oracle)
+}
+
+/// The one replay loop: policy → charge → observe, per batch.
+#[allow(clippy::too_many_arguments)]
+fn replay(
+    cpu: &Arc<SimDevice>,
+    gpus: &[Arc<SimDevice>],
+    trace: &[u64],
+    pairs_per_item: u64,
+    strategy: Strategy,
+    phases: &[(usize, Vec<f64>)],
+    timeline: Option<&Timeline>,
+    events: &Trace,
+    oracle: Option<&mut CostOracle>,
+) -> ScheduleReport {
     for (_, factors) in phases {
         assert_eq!(factors.len(), gpus.len(), "one slowdown factor per GPU per phase");
     }
@@ -436,110 +199,11 @@ pub fn schedule_trace_drift(
     for g in gpus {
         g.reset(); // also restores nominal slowdown from any prior replay
     }
-    let total_items: u64 = trace.iter().sum();
-    let n = gpus.len();
-
-    // Replay scores in the dense pair-sweep regime; the oracle keys its
-    // fits by kernel class, so this is the class every observation lands in.
-    const CLASS: KernelClass = KernelClass::PairSweep;
-
-    // Resolve the oracle for Strategy::Oracle: the caller's (shared,
-    // cross-campaign) model when given, else a fresh cold-start one.
-    let mut local_oracle = None;
-    let mut oracle = match (matches!(strategy, Strategy::Oracle { .. }), oracle) {
-        (false, _) => None,
-        (true, Some(o)) => {
-            assert_eq!(o.n_devices(), n, "oracle device count must match the GPUs");
-            Some(o)
-        }
-        (true, None) => {
-            Some(local_oracle.insert(CostOracle::new(n.max(1), OracleConfig::default())))
-        }
-    };
-
-    /// Incremental per-strategy state, advanced one batch at a time so the
-    /// fault onset lands exactly where the caller asked.
-    enum St {
-        Cpu,
-        /// Static splits: equal from the start, or equal-while-warming
-        /// then frozen Equation 1 weights.
-        Split {
-            warm_left: usize,
-            measured: Vec<f64>,
-            weights: Vec<f64>,
-        },
-        /// Work stealing: same warm-up, then per-batch seeded deque drain.
-        Steal {
-            warm_left: usize,
-            measured: Vec<f64>,
-            weights: Vec<f64>,
-            cfg: StealConfig,
-        },
-        /// The learned oracle: warm-up measurements (times and executed
-        /// units) become the cold-start prior, then every batch re-seeds
-        /// the deques from the current fits and feeds its outcome back.
-        Oracle {
-            warm_left: usize,
-            measured: Vec<f64>,
-            units: Vec<f64>,
-            last_weights: Vec<f64>,
-            cfg: StealConfig,
-        },
-        /// Self-scheduling: fixed chunks (`Some`) or guided (`None`).
-        Greedy {
-            fixed: Option<u64>,
-            divisor: u64,
-        },
-    }
-
-    let mut st = match strategy {
-        Strategy::CpuOnly => St::Cpu,
-        Strategy::HomogeneousSplit => {
-            St::Split { warm_left: 0, measured: Vec::new(), weights: vec![1.0; n] }
-        }
-        Strategy::HeterogeneousSplit { warmup } => St::Split {
-            warm_left: warmup.iterations.max(1),
-            measured: vec![0.0; n],
-            weights: vec![1.0; n],
-        },
-        Strategy::WorkSteal { warmup, divisor } => St::Steal {
-            warm_left: warmup.iterations.max(1),
-            measured: vec![0.0; n],
-            weights: vec![1.0; n],
-            cfg: StealConfig { divisor: divisor.max(1), min_chunk: 0 },
-        },
-        Strategy::Oracle { warmup, divisor } => St::Oracle {
-            // A warm oracle (prior or full fits from an earlier campaign)
-            // skips the warm-up: its knowledge replaces the measurements.
-            warm_left: match &oracle {
-                // PANICS: the oracle option was just populated for Strategy::Oracle above.
-                Some(o) if o.is_warm(CLASS) => 0,
-                _ => warmup.iterations.max(1),
-            },
-            measured: vec![0.0; n],
-            units: vec![0.0; n],
-            last_weights: vec![1.0; n],
-            cfg: StealConfig { divisor: divisor.max(1), min_chunk: 0 },
-        },
-        Strategy::DynamicQueue { chunk } => St::Greedy { fixed: Some(chunk.max(1)), divisor: 1 },
-        Strategy::GuidedQueue { divisor } => St::Greedy { fixed: None, divisor: divisor.max(1) },
-        Strategy::AdaptiveSplit { .. } => {
-            panic!("faulty replay excludes the adaptive ablation (it re-measures mid-run)")
-        }
-    };
-    if !matches!(st, St::Cpu) {
-        assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-    }
-
-    // Equal-split warm-up batch shared by the Split and Steal states.
-    let warm_batch = |items: u64, measured: &mut [f64]| {
-        let shares = proportional_split(items, &vec![1.0; n]);
-        for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-            if share > 0 {
-                *t += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-            }
-        }
-    };
+    let devices = if host_only(&strategy) { std::slice::from_ref(cpu) } else { gpus };
+    assert!(!devices.is_empty(), "GPU strategies need GPUs");
+    // Replay prices every batch in the dense pair-sweep regime.
+    let profile = WorkProfile::pairs(pairs_per_item);
+    let mut policy = Policy::new(strategy, devices, profile, oracle.as_deref().cloned());
 
     for (bi, &items) in trace.iter().enumerate() {
         for (onset, factors) in phases {
@@ -551,165 +215,27 @@ pub fn schedule_trace_drift(
                 }
             }
         }
-        match &mut st {
-            St::Cpu => {
-                cpu.execute(&WorkBatch::conformations(items, pairs_per_item));
-            }
-            St::Split { warm_left, measured, weights } => {
-                if *warm_left > 0 {
-                    warm_batch(items, measured);
-                    *warm_left -= 1;
-                    if *warm_left == 0 && measured.iter().all(|&t| t > 0.0) {
-                        *weights = crate::warmup::shares_from_times(measured);
-                    }
-                } else {
-                    execute_split(gpus, items, weights, pairs_per_item);
-                }
-            }
-            St::Steal { warm_left, measured, weights, cfg } => {
-                if *warm_left > 0 {
-                    warm_batch(items, measured);
-                    *warm_left -= 1;
-                    if *warm_left == 0 && measured.iter().all(|&t| t > 0.0) {
-                        *weights = crate::warmup::shares_from_times(measured);
-                    }
-                } else {
-                    let deques = seed_deques(items, weights);
-                    drain_deques(
-                        gpus,
-                        &deques,
-                        cfg,
-                        WorkProfile::pairs(pairs_per_item),
-                        None,
-                        events,
-                    );
-                }
-            }
-            St::Oracle { warm_left, measured, units, last_weights, cfg } => {
-                // PANICS: the oracle option is always populated for Strategy::Oracle.
-                let oracle = oracle.as_mut().expect("oracle state for Strategy::Oracle");
-                if *warm_left > 0 {
-                    let shares = proportional_split(items, &vec![1.0; n]);
-                    for (i, (g, &share)) in gpus.iter().zip(&shares).enumerate() {
-                        if share > 0 {
-                            measured[i] +=
-                                g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                            units[i] += (share * pairs_per_item) as f64;
-                        }
-                    }
-                    *warm_left -= 1;
-                    if *warm_left == 0
-                        && measured.iter().all(|&t| t > 0.0)
-                        && units.iter().all(|&u| u > 0.0)
-                    {
-                        oracle.observe_warmup(CLASS, measured, units);
-                    }
-                } else {
-                    let weights = oracle.seed_weights(CLASS).unwrap_or_else(|| vec![1.0; n]);
-                    if events.is_enabled() {
-                        events.emit(Event::Counter {
-                            name: "oracle_reseed",
-                            value: oracle.reseeds() as f64,
-                        });
-                    }
-                    let clocks_before: Vec<f64> = gpus.iter().map(|g| g.clock()).collect();
-                    let deques = seed_deques(items, &weights);
-                    let (claims, _) = drain_deques(
-                        gpus,
-                        &deques,
-                        cfg,
-                        WorkProfile::pairs(pairs_per_item),
-                        None,
-                        events,
-                    );
-                    let mut items_per = vec![0u64; n];
-                    for c in &claims {
-                        items_per[c.device] += u64::from(c.hi - c.lo);
-                    }
-                    for (i, g) in gpus.iter().enumerate() {
-                        let dt = g.clock() - clocks_before[i];
-                        if items_per[i] > 0 && dt > 0.0 {
-                            let u = oracle.observe(
-                                i,
-                                CLASS,
-                                (items_per[i] * pairs_per_item) as f64,
-                                dt,
-                            );
-                            if events.is_enabled() {
-                                events.emit(Event::ModelUpdated {
-                                    device: g.id() as u32,
-                                    class: CLASS.ordinal(),
-                                    predicted: u.predicted,
-                                    observed: u.observed,
-                                    residual: u.residual,
-                                    refit: u.refit,
-                                });
-                            }
-                        }
-                    }
-                    *last_weights = weights;
-                }
-            }
-            St::Greedy { fixed, divisor } => {
-                let mut remaining = items;
-                while remaining > 0 {
-                    let take = match fixed {
-                        Some(chunk) => (*chunk).min(remaining),
-                        None => (remaining / (*divisor * n as u64)).max(1).min(remaining),
-                    };
-                    remaining -= take;
-                    let g = gpus
-                        .iter()
-                        // PANICS: gpus is non-empty for GPU strategies and clocks are finite.
-                        .min_by(|a, b| a.clock().partial_cmp(&b.clock()).unwrap())
-                        .expect("non-empty");
-                    g.execute(&WorkBatch::conformations(take, pairs_per_item));
-                }
-            }
-        }
+        let plan = policy.plan(items, events);
+        let charged = charge_plan(devices, &plan, profile, timeline, events);
+        policy.observe(&charged, events);
     }
 
-    match st {
-        St::Cpu => ScheduleReport {
-            strategy_label: strategy.label().into(),
-            device_names: vec![cpu.spec().name.clone()],
-            device_times: vec![cpu.clock()],
-            makespan: cpu.clock(),
-            shares: None,
-            total_items,
-            energy_joules: config_energy(cpu, gpus, cpu.clock()),
-        },
-        St::Split { weights, .. } | St::Steal { weights, .. } => {
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        St::Oracle { last_weights, .. } => {
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&last_weights)), total_items)
-        }
-        St::Greedy { .. } => finish_gpu_report(strategy, cpu, gpus, None, total_items),
-    }
-}
-
-fn normalize(w: &[f64]) -> Vec<f64> {
-    let s: f64 = w.iter().sum();
-    w.iter().map(|x| x / s).collect()
-}
-
-fn finish_gpu_report(
-    strategy: Strategy,
-    cpu: &Arc<SimDevice>,
-    gpus: &[Arc<SimDevice>],
-    shares: Option<Vec<f64>>,
-    total_items: u64,
-) -> ScheduleReport {
-    let device_times: Vec<f64> = gpus.iter().map(|g| g.clock()).collect();
+    let device_times: Vec<f64> = devices.iter().map(|d| d.clock()).collect();
     let makespan = device_times.iter().cloned().fold(0.0, f64::max);
+    let shares = policy.weights().map(|w| {
+        let total: f64 = w.iter().sum();
+        w.iter().map(|x| x / total).collect()
+    });
+    if let (Some(slot), Some(learned)) = (oracle, policy.into_oracle()) {
+        *slot = learned;
+    }
     ScheduleReport {
         strategy_label: strategy.label().into(),
-        device_names: gpus.iter().map(|g| g.spec().name.clone()).collect(),
+        device_names: devices.iter().map(|d| d.spec().name.clone()).collect(),
         device_times,
         makespan,
         shares,
-        total_items,
+        total_items: trace.iter().sum(),
         energy_joules: config_energy(cpu, gpus, makespan),
     }
 }
@@ -728,8 +254,10 @@ fn config_energy(cpu: &Arc<SimDevice>, gpus: &[Arc<SimDevice>], makespan: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::OracleConfig;
     use crate::warmup::WarmupConfig;
-    use gpusim::catalog;
+    use gpusim::{catalog, KernelClass};
+    use vstrace::Event;
 
     const PAIRS: u64 = 45 * 3264;
 
@@ -883,45 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_heterogeneous_on_stable_devices() {
-        // With device speeds constant, re-measuring converges to the same
-        // split as the one-shot warm-up; makespans agree within a few %.
-        let (cpu, gpus) = hertz();
-        let t_het = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
-        )
-        .makespan;
-        let t_ad = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::AdaptiveSplit { warmup: WarmupConfig::default(), rebalance_every: 4 },
-        )
-        .makespan;
-        let ratio = t_ad / t_het;
-        assert!((0.9..1.1).contains(&ratio), "adaptive {t_ad} vs het {t_het}");
-    }
-
-    #[test]
-    fn adaptive_shares_favor_fast_device() {
-        let (cpu, gpus) = hertz();
-        let r = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::AdaptiveSplit { warmup: WarmupConfig::default(), rebalance_every: 4 },
-        );
-        let s = r.shares.unwrap();
-        assert!(s[0] > s[1], "K40c share must dominate after re-measurement: {s:?}");
-    }
-
-    #[test]
     fn energy_reported_and_sane() {
         let (cpu, gpus) = hertz();
         let r_cpu = schedule_trace(&cpu, &gpus, &trace(), PAIRS, Strategy::CpuOnly);
@@ -961,42 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn guided_queue_beats_small_fixed_chunks() {
-        // GSS keeps early chunks large (occupancy) while a small fixed
-        // chunk destroys it.
-        let (cpu, gpus) = hertz();
-        let fixed =
-            schedule_trace(&cpu, &gpus, &trace(), PAIRS, Strategy::DynamicQueue { chunk: 64 })
-                .makespan;
-        let guided =
-            schedule_trace(&cpu, &gpus, &trace(), PAIRS, Strategy::GuidedQueue { divisor: 2 })
-                .makespan;
-        assert!(guided < fixed, "GSS {guided} should beat fixed-64 {fixed}");
-    }
-
-    #[test]
-    fn guided_queue_loses_to_static_split_on_gpus() {
-        // The ablation finding: GSS was designed for CPU loop scheduling;
-        // its geometrically shrinking tail chunks destroy GPU occupancy,
-        // so the paper's one-shot Equation 1 split — one large launch per
-        // device per batch — wins on occupancy-sensitive hardware.
-        let (cpu, gpus) = hertz();
-        let het = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
-        )
-        .makespan;
-        let guided =
-            schedule_trace(&cpu, &gpus, &trace(), PAIRS, Strategy::GuidedQueue { divisor: 2 })
-                .makespan;
-        assert!(guided > het, "expected GSS tail chunks to cost occupancy");
-        assert!(guided < het * 5.0, "GSS should still be in the same decade: {guided} vs {het}");
-    }
-
-    #[test]
     fn timeline_replay_matches_plain_replay() {
         let (cpu, gpus) = hertz();
         let strat = Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() };
@@ -1029,16 +482,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn timeline_rejects_dynamic_strategy() {
+    fn timeline_records_one_segment_per_dynamic_chunk() {
+        // The greedy plan launches every chunk on its own: 64 items in
+        // chunks of 8 are eight Gantt segments, matching the plain replay.
         let (cpu, gpus) = hertz();
-        super::schedule_trace_timeline(
-            &cpu,
-            &gpus,
-            &[64],
-            PAIRS,
-            Strategy::DynamicQueue { chunk: 8 },
-        );
+        let strat = Strategy::DynamicQueue { chunk: 8 };
+        let plain = schedule_trace(&cpu, &gpus, &[64], PAIRS, strat).makespan;
+        let (report, tl) = super::schedule_trace_timeline(&cpu, &gpus, &[64], PAIRS, strat);
+        assert_eq!(report.makespan.to_bits(), plain.to_bits());
+        assert_eq!(tl.segments().len(), 8);
+        assert_eq!(tl.segments().iter().map(|s| s.items).sum::<u64>(), 64);
     }
 
     #[test]
@@ -1109,7 +562,7 @@ mod tests {
             Strategy::HomogeneousSplit,
             Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
             worksteal(),
-            Strategy::GuidedQueue { divisor: 2 },
+            Strategy::DynamicQueue { chunk: 512 },
         ] {
             let plain = schedule_trace(&cpu, &gpus, &trace(), PAIRS, strat).makespan;
             let faulty = schedule_trace_faulty(
@@ -1386,22 +839,6 @@ mod tests {
         assert!(
             warm1 < cold,
             "warm start must skip the equal-split warm-up cost: {warm1} vs {cold}"
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn faulty_replay_rejects_adaptive() {
-        let (cpu, gpus) = hertz();
-        schedule_trace_faulty(
-            &cpu,
-            &gpus,
-            &[64],
-            PAIRS,
-            Strategy::AdaptiveSplit { warmup: WarmupConfig::default(), rebalance_every: 4 },
-            &[1.0, 1.0],
-            0,
-            &Trace::disabled(),
         );
     }
 }

@@ -1,7 +1,8 @@
 //! The unified heterogeneous node runtime: every execution path on a node
-//! — static Percent splits, warm-up batches, and the work-stealing mode —
-//! funnels through one [`NodeRuntime`] that owns the persistent per-device
-//! worker threads and the virtual-time accounting.
+//! — static Percent splits, warm-up batches, greedy chunks, and the
+//! work-stealing mode — funnels through one [`NodeRuntime`] that owns the
+//! persistent per-device worker threads, and through `charge_plan`, the
+//! virtual-time accounting it shares with the trace replay.
 //!
 //! # Architecture
 //!
@@ -32,7 +33,7 @@
 //! are exactly reproducible (DESIGN.md §10 determinism contract).
 
 use crate::deque::ChunkDeque;
-use crate::partition::proportional_split;
+use crate::policy::{Plan, Policy};
 use crate::sync::thread::{Builder, JoinHandle};
 use crate::sync::{Condvar, Mutex};
 use gpusim::{KernelClass, SimDevice, Timeline, WorkProfile};
@@ -159,11 +160,23 @@ fn charge(
     }
 }
 
+/// The device with the smallest virtual clock, ties to the lowest index.
+fn earliest(devices: &[Arc<SimDevice>]) -> usize {
+    let mut who = 0usize;
+    let mut best = f64::INFINITY;
+    for (i, d) in devices.iter().enumerate() {
+        let c = d.clock();
+        if c < best {
+            best = c;
+            who = i;
+        }
+    }
+    who
+}
+
 /// Drain seeded per-device deques in virtual-time order, charging every
 /// claim to the claiming device's clock as it happens. This is the shared
-/// scheduling core: the real-compute [`NodeRuntime`] feeds the resulting
-/// claims to its workers, and the analytic replay
-/// ([`crate::replay::schedule_trace`]) uses the clocks alone.
+/// scheduling core of [`Plan::Deques`].
 ///
 /// # Panics
 /// Panics if `devices` and `deques` lengths differ or are empty.
@@ -183,17 +196,8 @@ pub fn drain_deques(
         if deques.iter().all(ChunkDeque::is_empty) {
             break;
         }
-        // Claimant: smallest virtual clock, ties to the lowest device
-        // index. Devices with empty deques stay eligible — they steal.
-        let mut who = 0usize;
-        let mut best = f64::INFINITY;
-        for (i, d) in devices.iter().enumerate() {
-            let c = d.clock();
-            if c < best {
-                best = c;
-                who = i;
-            }
-        }
+        // Devices with empty deques stay eligible — they steal.
+        let who = earliest(devices);
         let floor = floor_for(&devices[who], cfg);
         let own_len = deques[who].len();
         let claim =
@@ -240,6 +244,90 @@ pub fn drain_deques(
     (claims, stats)
 }
 
+/// Index ranges `[lo, hi)` laid end to end, one per share.
+fn contiguous(shares: &[u64]) -> Vec<(u32, u32)> {
+    let mut offset = 0u32;
+    shares
+        .iter()
+        .map(|&share| {
+            let lo = offset;
+            offset += share as u32;
+            (lo, offset)
+        })
+        .collect()
+}
+
+/// What charging one [`Plan`] did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Charged {
+    /// Per-device claimed index ranges into the batch, in claim order.
+    pub ranges: Vec<Vec<(u32, u32)>>,
+    /// Per-device virtual seconds the plan added to the device clock.
+    pub seconds: Vec<f64>,
+    /// Deque-drain statistics (zero for the other plans).
+    pub stats: StealStats,
+}
+
+impl Charged {
+    /// Items executed per device.
+    pub fn items(&self) -> Vec<u64> {
+        self.ranges.iter().map(|r| r.iter().map(|&(lo, hi)| u64::from(hi - lo)).sum()).collect()
+    }
+}
+
+/// Charge `plan` to the device clocks, one launch per contiguous share,
+/// deque claim or greedy chunk — through `timeline` or `trace` when
+/// attached. This is the one place virtual time is charged for a batch:
+/// the replay uses the clocks alone, and [`NodeRuntime`] also scores the
+/// returned ranges on its workers.
+///
+/// # Panics
+/// Panics if the plan's share count differs from `devices.len()`.
+pub(crate) fn charge_plan(
+    devices: &[Arc<SimDevice>],
+    plan: &Plan,
+    profile: WorkProfile,
+    timeline: Option<&Timeline>,
+    trace: &Trace,
+) -> Charged {
+    let before: Vec<f64> = devices.iter().map(|d| d.clock()).collect();
+    let mut ranges = vec![Vec::new(); devices.len()];
+    let mut stats = StealStats::default();
+    match plan {
+        Plan::Shares(shares) => {
+            assert_eq!(shares.len(), devices.len(), "one share per device");
+            for (i, (lo, hi)) in contiguous(shares).into_iter().enumerate() {
+                if hi > lo {
+                    ranges[i].push((lo, hi));
+                    charge(&devices[i], u64::from(hi - lo), profile, timeline, trace);
+                }
+            }
+        }
+        Plan::Deques { shares, cfg } => {
+            assert_eq!(shares.len(), devices.len(), "one share per device");
+            let deques: Vec<ChunkDeque> =
+                contiguous(shares).into_iter().map(|(lo, hi)| ChunkDeque::new(lo, hi)).collect();
+            let (claims, drained) = drain_deques(devices, &deques, cfg, profile, timeline, trace);
+            for c in claims {
+                ranges[c.device].push((c.lo, c.hi));
+            }
+            stats = drained;
+        }
+        Plan::Greedy { items, chunk } => {
+            let mut offset = 0u64;
+            while offset < *items {
+                let take = (*chunk).min(items - offset);
+                let who = earliest(devices);
+                ranges[who].push((offset as u32, (offset + take) as u32));
+                charge(&devices[who], take, profile, timeline, trace);
+                offset += take;
+            }
+        }
+    }
+    let seconds = devices.iter().zip(&before).map(|(d, b)| d.clock() - b).collect();
+    Charged { ranges, seconds, stats }
+}
+
 /// Work descriptor consumed by one runtime worker: the claimed index
 /// ranges of the caller's conformation batch.
 struct RtJob {
@@ -278,9 +366,8 @@ struct RtShared {
 
 /// The per-node execution core: persistent per-device scoring workers plus
 /// the virtual-time claim engine. [`crate::DeviceEvaluator`] is a thin
-/// facade over this type; it owns strategy bookkeeping (warm-up, Equation
-/// 1 weights) and delegates every batch here via [`NodeRuntime::run_shares`]
-/// (static splits) or [`NodeRuntime::run_steal`] (work stealing).
+/// facade over this type and a [`Policy`]; every batch goes through
+/// [`NodeRuntime::run`].
 pub struct NodeRuntime {
     devices: Vec<Arc<SimDevice>>,
     scorer: Arc<Scorer>,
@@ -385,68 +472,33 @@ impl NodeRuntime {
         }
     }
 
-    /// Execute `confs` with one contiguous chunk per device, sized by
-    /// `shares` (which must sum to `confs.len()`). Virtual time is charged
-    /// per device up front; scoring runs on the persistent workers.
-    pub fn run_shares(&mut self, confs: &mut [Conformation], shares: &[u64]) {
-        assert_eq!(shares.len(), self.devices.len(), "one share per device");
-        let profile = work_profile(&self.scorer);
-        let mut ranges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.devices.len()];
-        let mut offset = 0u32;
-        for (i, &share) in shares.iter().enumerate() {
-            if share > 0 {
-                let hi = offset + share as u32;
-                ranges[i].push((offset, hi));
-                offset = hi;
-                charge(&self.devices[i], share, profile, self.timeline.as_deref(), &self.trace);
-            }
-        }
-        debug_assert_eq!(offset as usize, confs.len(), "shares must cover the batch");
-        self.dispatch(confs, ranges);
+    /// Schedule and score one batch under `policy`: the policy plans it,
+    /// the plan is charged and scored ([`Self::run_plan`]), and the policy
+    /// observes the outcome. Returns the drain's statistics.
+    pub fn run(&mut self, confs: &mut [Conformation], policy: &mut Policy) -> StealStats {
+        let plan = policy.plan(confs.len() as u64, &self.trace);
+        let charged = self.run_plan(confs, &plan);
+        policy.observe(&charged, &self.trace);
+        charged.stats
     }
 
-    /// Execute `confs` through the work-stealing drain: deques seeded
-    /// proportionally to `weights`, claims and steals resolved in virtual
-    /// time, scoring dispatched to the workers. Returns the drain's
-    /// statistics.
-    pub fn run_steal(
-        &mut self,
-        confs: &mut [Conformation],
-        weights: &[f64],
-        cfg: &StealConfig,
-    ) -> StealStats {
-        let n = self.devices.len();
-        assert_eq!(weights.len(), n, "one weight per device");
-        let items = confs.len() as u64;
-        let shares = proportional_split(items, weights);
-        let mut deques = Vec::with_capacity(n);
-        let mut offset = 0u32;
-        for (i, &share) in shares.iter().enumerate() {
-            let hi = offset + share as u32;
-            deques.push(ChunkDeque::new(offset, hi));
-            if self.trace.is_enabled() {
-                self.trace.emit(Event::PartitionDecision {
-                    device: self.devices[i].id() as u32,
-                    share: share as f64 / items.max(1) as f64,
-                    weight: weights[i],
-                });
-            }
-            offset = hi;
-        }
-        let (claims, stats) = drain_deques(
+    /// Charge `plan` to the device clocks (`charge_plan`) and score the
+    /// resulting ranges on the persistent workers.
+    pub fn run_plan(&mut self, confs: &mut [Conformation], plan: &Plan) -> Charged {
+        let charged = charge_plan(
             &self.devices,
-            &deques,
-            cfg,
+            plan,
             work_profile(&self.scorer),
             self.timeline.as_deref(),
             &self.trace,
         );
-        let mut ranges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for c in &claims {
-            ranges[c.device].push((c.lo, c.hi));
-        }
-        self.dispatch(confs, ranges);
-        stats
+        debug_assert_eq!(
+            charged.items().iter().sum::<u64>(),
+            confs.len() as u64,
+            "the plan must cover the batch"
+        );
+        self.dispatch(confs, charged.ranges.clone());
+        charged
     }
 
     /// Publish one job per worker and block until every worker checked in;
@@ -593,6 +645,12 @@ mod tests {
             .collect()
     }
 
+    /// A deque plan seeded proportionally to `weights`, guided divisor 2.
+    fn deques(items: u64, weights: &[f64], min_chunk: u32) -> Plan {
+        let shares = crate::partition::proportional_split(items, weights);
+        Plan::Deques { shares, cfg: StealConfig { divisor: 2, min_chunk } }
+    }
+
     fn serial_scores(sc: &Scorer, confs: &[Conformation]) -> Vec<f64> {
         let mut b = confs.to_vec();
         let mut scratch = vsscore::PoseScratch::new();
@@ -706,7 +764,7 @@ mod tests {
         let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         let mut c = confs(50, 3);
         let want = serial_scores(&sc, &c);
-        rt.run_shares(&mut c, &[30, 20]);
+        rt.run_plan(&mut c, &Plan::Shares(vec![30, 20]));
         for (got, want) in c.iter().zip(&want) {
             assert_eq!(got.score.to_bits(), want.to_bits());
         }
@@ -722,7 +780,7 @@ mod tests {
         rt.devices()[1].set_slowdown(6.0);
         let mut c = confs(257, 7);
         let want = serial_scores(&sc, &c);
-        let stats = rt.run_steal(&mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 8 });
+        let stats = rt.run_plan(&mut c, &deques(257, &[1.0, 1.0], 8)).stats;
         assert!(stats.chunks >= 2);
         assert!(stats.steals > 0, "expected steals with a 6x straggler: {stats:?}");
         for (i, (got, want)) in c.iter().zip(&want).enumerate() {
@@ -735,7 +793,7 @@ mod tests {
         let sc = scorer();
         let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         let mut c = confs(64, 9);
-        let stats = rt.run_steal(&mut c, &[0.0, 1.0], &StealConfig { divisor: 2, min_chunk: 4 });
+        let stats = rt.run_plan(&mut c, &deques(64, &[0.0, 1.0], 4)).stats;
         assert!(c.iter().all(|x| x.is_scored()));
         // Device 0 starts empty; anything it executed was stolen.
         let d0 = rt.devices()[0].stats().items;
@@ -749,7 +807,7 @@ mod tests {
         let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         rt.set_timeline(Arc::clone(&tl));
         let mut c = confs(120, 4);
-        let stats = rt.run_steal(&mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 16 });
+        let stats = rt.run_plan(&mut c, &deques(120, &[1.0, 1.0], 16)).stats;
         assert_eq!(tl.segments().len() as u64, stats.chunks, "one Gantt segment per claim");
         let recorded: u64 = tl.segments().iter().map(|s| s.items).sum();
         assert_eq!(recorded, 120);

@@ -1,11 +1,10 @@
 //! Scheduling strategies compared in the paper's evaluation.
 
-use crate::warmup::{shares_from_times, warmup_times, WarmupConfig};
-use gpusim::{SimDevice, WorkProfile};
+use crate::warmup::WarmupConfig;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// How conformations are assigned to devices.
+/// How conformations are assigned to devices. The behaviour of each
+/// variant lives in [`crate::policy`], shared by replay and live runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Strategy {
     /// All work on the host CPU — the paper's OpenMP baseline column.
@@ -20,16 +19,6 @@ pub enum Strategy {
     /// whichever device has the earliest virtual clock (ablation beyond
     /// the paper's static splits).
     DynamicQueue { chunk: u64 },
-    /// Adaptive split (ablation beyond the paper): like the heterogeneous
-    /// algorithm, but the Equation 1 weights are re-measured from the last
-    /// window every `rebalance_every` batches — robust to devices whose
-    /// speed changes mid-run (thermal throttling, contention).
-    AdaptiveSplit { warmup: WarmupConfig, rebalance_every: usize },
-    /// Guided self-scheduling (Polychronopoulos & Kuck): dynamic chunks of
-    /// `remaining / (k × devices)` — large early chunks keep occupancy
-    /// high, shrinking tail chunks balance the finish. The classic answer
-    /// to the fixed-chunk dilemma the chunk-size ablation exposes.
-    GuidedQueue { divisor: u64 },
     /// The unified runtime's work-stealing mode (DESIGN.md §10): warm-up +
     /// Equation 1 weights seed per-device deques each batch, owners drain
     /// their deque in guided chunks (`remaining / divisor`, floor-clamped
@@ -56,39 +45,8 @@ impl Strategy {
             Strategy::HomogeneousSplit => "Homogeneous computation",
             Strategy::HeterogeneousSplit { .. } => "Heterogeneous computation",
             Strategy::DynamicQueue { .. } => "Dynamic queue",
-            Strategy::AdaptiveSplit { .. } => "Adaptive split",
-            Strategy::GuidedQueue { .. } => "Guided self-scheduling",
             Strategy::WorkSteal { .. } => "Work stealing",
             Strategy::Oracle { .. } => "Learned oracle",
-        }
-    }
-
-    /// Compute per-device weights for the static strategies. For the
-    /// heterogeneous strategy this *runs the warm-up* (charging its cost to
-    /// the device clocks) in the given cost regime
-    /// ([`crate::runtime::work_profile`] maps a scorer to its profile).
-    /// Returns `None` for strategies that do not use static weights
-    /// (CPU-only, dynamic).
-    pub fn device_weights(
-        &self,
-        devices: &[Arc<SimDevice>],
-        profile: WorkProfile,
-    ) -> Option<Vec<f64>> {
-        match self {
-            Strategy::CpuOnly
-            | Strategy::DynamicQueue { .. }
-            | Strategy::AdaptiveSplit { .. }
-            | Strategy::GuidedQueue { .. }
-            // Work stealing and the oracle derive their seed weights inside
-            // the executor / replay (per-batch deque seeds queried from the
-            // warm-up or the live fits, not a fixed split).
-            | Strategy::WorkSteal { .. }
-            | Strategy::Oracle { .. } => None,
-            Strategy::HomogeneousSplit => Some(vec![1.0; devices.len()]),
-            Strategy::HeterogeneousSplit { warmup } => {
-                let times = warmup_times(devices, profile, *warmup);
-                Some(shares_from_times(&times))
-            }
         }
     }
 }
@@ -96,14 +54,6 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::catalog;
-
-    fn hertz_gpus() -> Vec<Arc<SimDevice>> {
-        vec![
-            Arc::new(SimDevice::new(0, catalog::tesla_k40c())),
-            Arc::new(SimDevice::new(1, catalog::geforce_gtx_580())),
-        ]
-    }
 
     #[test]
     fn labels() {
@@ -113,33 +63,5 @@ mod tests {
             Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() }.label(),
             "Heterogeneous computation"
         );
-    }
-
-    #[test]
-    fn homogeneous_weights_are_equal() {
-        let w = Strategy::HomogeneousSplit
-            .device_weights(&hertz_gpus(), WorkProfile::pairs(1000))
-            .unwrap();
-        assert_eq!(w, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn heterogeneous_weights_favor_fast_device() {
-        let devs = hertz_gpus();
-        let w = Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() }
-            .device_weights(&devs, WorkProfile::pairs(45 * 3264))
-            .unwrap();
-        assert!(w[0] > w[1], "K40c should get the larger share: {w:?}");
-        // Warm-up charged.
-        assert!(devs[0].clock() > 0.0 && devs[1].clock() > 0.0);
-    }
-
-    #[test]
-    fn cpu_and_dynamic_have_no_static_weights() {
-        let devs = hertz_gpus();
-        assert!(Strategy::CpuOnly.device_weights(&devs, WorkProfile::pairs(10)).is_none());
-        assert!(Strategy::DynamicQueue { chunk: 32 }
-            .device_weights(&devs, WorkProfile::pairs(10))
-            .is_none());
     }
 }

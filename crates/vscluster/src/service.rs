@@ -38,6 +38,7 @@ use crate::net::NetModel;
 use gpusim::SimNode;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use vsched::policy::warmup_batches;
 use vsched::{schedule_trace, schedule_trace_drift, schedule_trace_faulty, SharedOracle, Strategy};
 use vscreen::trace::synthetic_trace;
 use vstrace::{Event, Trace};
@@ -1203,7 +1204,7 @@ impl Service {
             }
             _ => (1.0, None),
         };
-        if let Strategy::Oracle { warmup, .. } = strategy {
+        if matches!(strategy, Strategy::Oracle { .. }) {
             // Actual executions feed the node's shared oracle (ingest =
             // true), so the next campaign on this node starts warm. The
             // fault context becomes a drift phase: a victim lane slows
@@ -1222,7 +1223,7 @@ impl Service {
                     Some(g) => {
                         let mut slowdowns = vec![1.0; n_gpus];
                         slowdowns[g] = factor;
-                        vec![(warmup.iterations, slowdowns)]
+                        vec![(warmup_batches(&strategy), slowdowns)]
                     }
                 }
             };
@@ -1251,12 +1252,7 @@ impl Service {
                 // A degraded GPU keeps its nominal speed through the
                 // warm-up (its Eq. 1 weight is measured healthy) and slows
                 // at this batch.
-                let onset = match strategy {
-                    Strategy::HeterogeneousSplit { warmup }
-                    | Strategy::AdaptiveSplit { warmup, .. }
-                    | Strategy::WorkSteal { warmup, .. } => warmup.iterations,
-                    _ => 0,
-                };
+                let onset = warmup_batches(&strategy);
                 let silent = Trace::disabled();
                 let events = if emit { &self.trace } else { &silent };
                 let c = schedule_trace_faulty(
@@ -1742,6 +1738,24 @@ mod tests {
             stealing.makespan,
             frozen.makespan
         );
+    }
+
+    #[test]
+    fn gpu_victim_onset_follows_the_policy_warmup_count() {
+        // `iterations: 0` and `iterations: 1` are the same policy (one
+        // warm-up batch), so the victim lane slows at the same batch and
+        // the campaigns cost the same, for the frozen split and the oracle.
+        let plan = FaultPlan::straggler(3, 1, 4.0);
+        let warmup = |iterations| vsched::WarmupConfig { iterations, ..Default::default() };
+        for strategy in [
+            |w| Strategy::HeterogeneousSplit { warmup: w },
+            |w| Strategy::Oracle { warmup: w, divisor: 2 },
+        ] {
+            let zero = run_faulty(intra(&plan, strategy(warmup(0))));
+            let one = run_faulty(intra(&plan, strategy(warmup(1))));
+            assert_eq!(zero.makespan.to_bits(), one.makespan.to_bits());
+            assert_eq!(zero.assignment, one.assignment);
+        }
     }
 
     #[test]

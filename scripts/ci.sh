@@ -48,8 +48,25 @@ cargo test -q -p vscluster --features vscheck-model model_
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
+# Virtual-time outputs are deterministic, so each regenerated copy must
+# match its committed golden byte for byte; a difference is a behaviour
+# change that has to be committed deliberately.
+golden() {
+  local committed="$1" fresh="$2"
+  if ! cmp -s "$committed" "$fresh"; then
+    echo "golden: $fresh differs from the committed $committed:" >&2
+    diff "$committed" "$fresh" >&2 || true
+    exit 1
+  fi
+}
+
 echo "==> scheduler snapshot cell (Percent split vs work stealing; gates the steal-gain bars)"
 cargo run -q --release -p vs-bench --bin sched_snapshot -- target/BENCH_sched.json
+golden BENCH_sched.json target/BENCH_sched.json
+
+echo "==> paper tables (tables --scale quick, golden stdout)"
+(cd target && ./release/tables --scale quick) > target/tables_quick.txt
+golden scripts/golden/tables_quick.txt target/tables_quick.txt
 
 echo "==> trace report"
 scripts/trace_report.sh
@@ -62,6 +79,7 @@ scripts/grid_report.sh
 
 echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop)"
 scripts/pipeline_report.sh
+golden BENCH_pipeline.json target/BENCH_pipeline.json
 
 echo "==> campaign report (multi-tenant service under bursty traffic; gates latency, utilization, cache)"
 scripts/campaign_report.sh
